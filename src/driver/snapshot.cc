@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/atomic_file.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace tapas::driver {
@@ -11,18 +12,6 @@ namespace tapas::driver {
 namespace {
 
 constexpr const char *kMagic = "tapas-snapshot";
-
-/** FNV-1a 64-bit, 16-hex — the payload integrity checksum. */
-std::string
-fnv1aHex(const std::string &text)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return strfmt("%016llx", static_cast<unsigned long long>(h));
-}
 
 Json
 payloadJson(const Snapshot &s)

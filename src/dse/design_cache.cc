@@ -2,20 +2,10 @@
 
 #include <sstream>
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace tapas::dse {
-
-std::string
-contentHash(const std::string &text)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return strfmt("%016llx", static_cast<unsigned long long>(h));
-}
 
 std::string
 describeParams(const arch::AcceleratorParams &p)
@@ -91,7 +81,7 @@ DesignCache::get(const std::string &module_text,
                  const fpga::Device &dev)
 {
     const std::string key = keyFor(module_text, top, copts, dev);
-    std::string key_id = contentHash(key);
+    std::string key_id = fnv1aHex(key);
 
     std::shared_ptr<Entry> entry;
     {

@@ -30,9 +30,6 @@
 
 namespace tapas::dse {
 
-/** FNV-1a 64-bit hash rendered as 16 hex digits (display ids). */
-std::string contentHash(const std::string &text);
-
 /**
  * Stable, exhaustive serialization of a parameter set; every field
  * that can change the compiled design or its resource report is
@@ -59,14 +56,14 @@ class DesignCache
         /** True when the design was served from the cache. */
         bool hit = false;
 
-        /** contentHash() of the full key (display id). */
+        /** fnv1aHex() of the full key (display id). */
         std::string keyId;
     };
 
     /**
      * The full content-addressed key for one compile. Exposed so
      * tests and reports can reason about key identity; display
-     * truncation is contentHash(keyFor(...)).
+     * truncation is fnv1aHex(keyFor(...)).
      */
     static std::string keyFor(const std::string &module_text,
                               const std::string &top,

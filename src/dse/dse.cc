@@ -10,6 +10,7 @@
 #include "dse/journal.hh"
 #include "ir/printer.hh"
 #include "obs/critpath.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
 
@@ -226,7 +227,7 @@ evalOne(const WorkloadFactory &make, unsigned rung,
     // list the workload carries).
     std::string jid;
     if (journal) {
-        e.keyId = contentHash(
+        e.keyId = fnv1aHex(
             DesignCache::keyFor(text, w.top->name(), co, opts.device));
         jid = e.keyId + "@r" + std::to_string(rung);
         if (const Json *line = journal->find(jid)) {
@@ -320,7 +321,7 @@ spaceFingerprint(const std::vector<Config> &configs,
         s += '|';
         s += c.label();
     }
-    return contentHash(s);
+    return fnv1aHex(s);
 }
 
 } // namespace

@@ -9,6 +9,10 @@
  * the golden functional model the accelerator simulator and the CPU
  * baseline are validated against.
  *
+ * It walks ir::Instruction objects directly and shares no code with
+ * the micro-op lowering (ir/lower.hh) the simulator executes from, so
+ * a lowering bug cannot hide by reproducing itself in the oracle.
+ *
  * The interpreter also gathers a dynamic opcode histogram, used by the
  * CPU baseline's cost model and by tests.
  */
@@ -18,16 +22,12 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ir/memimage.hh"
 #include "ir/rtvalue.hh"
 
 namespace tapas::ir {
-
-class LoweredProgram;
-struct LoweredFunc;
 
 /** Dynamic execution statistics gathered by an Interp run. */
 struct InterpStats
@@ -112,18 +112,9 @@ class Interp
 
         /** Optional observer (not owned). */
         InterpObserver *observer = nullptr;
-
-        /**
-         * Execute from ahead-of-time lowered micro-op tables
-         * (ir/lower.hh) instead of walking Instruction objects.
-         * Byte-identical results; the legacy walker remains as the
-         * differential oracle. Also disabled by TAPAS_NO_LOWERING.
-         */
-        bool lowering = true;
     };
 
     Interp(const Module &mod, MemImage &mem, Options opts);
-    ~Interp();
 
     Interp(const Module &mod, MemImage &mem)
         : Interp(mod, mem, Options())
@@ -154,9 +145,6 @@ class Interp
     RtValue runFunction(const Function &func, std::vector<RtValue> args,
                         unsigned depth);
 
-    RtValue runLowered(const LoweredFunc &lf, std::vector<RtValue> args,
-                       unsigned depth);
-
     RtValue evalOperand(const Frame &frame, const Value *v) const;
 
     RtValue execLoad(const LoadInst *ld, uint64_t addr) const;
@@ -168,16 +156,6 @@ class Interp
     Options opts;
     InterpStats _stats;
     uint64_t steps = 0;
-
-    /** Decoded program (null when running the legacy walker). */
-    std::unique_ptr<LoweredProgram> lowered;
-
-    /** Per-function constant pools with global addresses patched
-     *  against `mem` (resolved lazily on first run()). */
-    std::vector<std::vector<RtValue>> pools;
-
-    /** Scratch for parallel phi reads (reused across block entries). */
-    std::vector<RtValue> phiScratch;
 };
 
 } // namespace tapas::ir

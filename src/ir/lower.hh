@@ -2,14 +2,12 @@
  * @file
  * Ahead-of-time micro-op lowering for the TAPAS parallel IR.
  *
- * Both execution engines (the golden serial-elision interpreter and
- * the accelerator simulator's per-tile dataflow firing) historically
- * walked `ir::Instruction` objects on every dynamic execution: each
- * firing re-dispatched on `Value::Kind` per operand, re-materialized
- * constants, re-resolved global addresses and re-discovered in-block
- * dependences. TAPAS's toolchain elaborates each task's dataflow graph
- * once at compile time (paper Section III, Fig. 4/6); this module does
- * the same for the software model.
+ * TAPAS's toolchain elaborates each task's dataflow graph once at
+ * compile time (paper Section III, Fig. 4/6); this module does the
+ * same for the simulator's TXU model (sim/exec.cc), so a firing never
+ * re-dispatches on `Value::Kind` per operand, re-materializes
+ * constants, re-resolves global addresses or re-discovers in-block
+ * dependences.
  *
  * A `LoweredProgram` decodes every function of a module into flat,
  * immutable tables:
@@ -31,11 +29,12 @@
  *    graph's detach-site mapping — for a detach's marshaled child
  *    arguments.
  *
- * The tables are built once per compiled design (behind
- * `CompiledDesign`'s shared_ptr) and shared read-only across threads,
- * runs, DSE points and checkpoints. Execution from the tables is
- * byte-identical to the legacy instruction walkers, which are kept
- * (behind `TAPAS_NO_LOWERING=1`) as a differential-testing oracle.
+ * The tables are built once per compiled design (hls::compile,
+ * behind `CompiledDesign`'s shared_ptr) and shared read-only across
+ * threads, runs, DSE points and checkpoints. The serial-elision
+ * interpreter (ir/interp.hh) deliberately does not execute from them:
+ * it walks Instruction objects, which keeps it an independent oracle
+ * for this lowering.
  */
 
 #ifndef TAPAS_IR_LOWER_HH
@@ -225,8 +224,6 @@ struct LoweredFunc
     /** Slots of `constPool` holding global addresses. */
     std::vector<std::pair<uint32_t, const GlobalVar *>> globalSlots;
 
-    const LoweredBlock &blockOf(const BasicBlock *bb) const;
-
     /** Route lookup for a block entry; panics if `predId` is not a
      *  recorded predecessor (mirrors PhiInst::incomingFor). */
     const PhiRoute &routeFor(const LoweredBlock &lb,
@@ -237,13 +234,12 @@ struct LoweredFunc
 struct LowerOptions
 {
     /** Fixed execute latency per instruction (e.g. the accelerator's
-     *  operation model). Null bakes latency 0 everywhere — fine for
-     *  clients that do not consume latencies (the interpreter). */
+     *  operation model). Null bakes latency 0 everywhere. */
     std::function<unsigned(const Instruction &)> latencyOf;
 
     /** Marshaled child-task arguments for a detach site (the task
      *  graph's spawn-argument list). Null leaves detach templates
-     *  empty — fine for serial-elision execution. */
+     *  empty. */
     std::function<const std::vector<Value *> *(const DetachInst *)>
         spawnArgsOf;
 };
@@ -275,13 +271,6 @@ class LoweredProgram
     std::vector<LoweredFunc> funcs;
     std::unordered_map<const Function *, uint32_t> byFunc;
 };
-
-/**
- * True when `TAPAS_NO_LOWERING` is set non-empty in the environment:
- * execution engines fall back to the legacy instruction walkers (the
- * differential-testing oracle).
- */
-bool loweringDisabledByEnv();
 
 } // namespace tapas::ir
 
