@@ -131,26 +131,23 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
     rootFinished = false;
     failure_ = SimFailure{};
     rootValue = RtValue{};
-    idleSkipped = 0;
+    skippedTotal = 0;
     for (auto &u : units)
         u->resetFiring(); // stale stamps from a previous run()
 
     // Idle-skip stays exact only while nothing consumes RNG per
     // cycle; a fault injector with any nonzero rate does.
-    const bool skip_allowed =
-        idleSkip && !(faultInj && faultInj->config().any());
+    const bool skip_allowed = !(faultInj && faultInj->config().any());
 
-    // Event scheduler: individual quiet tiles may sleep through
-    // their stall spans (settled in bulk on wake-up). Requires the
-    // same preconditions as the whole-machine skip, plus no trace
-    // sinks: sinks consume per-cycle cache-stall events that bulk
-    // accounting would drop. With tile sleep off, event mode
-    // degenerates to the scan loop — trivially byte-identical.
-    const bool tile_sleep = scheduler == Scheduler::Event &&
-                            skip_allowed && !hasSinks;
+    // Individual quiet tiles may sleep through their stall spans
+    // (settled in bulk on wake-up). Requires the same precondition
+    // as the whole-machine skip, plus no trace sinks: sinks consume
+    // per-cycle cache-stall events that bulk accounting would drop.
+    // With tile sleep off every tile is ticked every processed cycle.
+    const bool tile_sleep = skip_allowed && !hasSinks;
     calendar.reset(0);
     for (auto &u : units)
-        u->eventSleep = tile_sleep;
+        u->sleepAllowed = tile_sleep;
 
     // The host (ARM) writes the arguments and kicks the root unit.
     // With a fault injector the kick handshake itself may be dropped;
@@ -301,8 +298,8 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
         // failures and observability streams byte-identical to the
         // unskipped simulation.
         if (skip_allowed && rootSpawned && last_progress_cycle != cyc) {
-            // Event mode: sleeping tiles are excluded from the unit
-            // rescan below; the calendar holds their wake bounds.
+            // Sleeping tiles are excluded from the unit rescan
+            // below; the calendar holds their wake bounds.
             // (kNone == kNoWake, so an empty calendar is neutral.)
             uint64_t wake = tile_sleep ? calendar.nextEventAt()
                                        : InstanceExec::kNoWake;
@@ -337,7 +334,7 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
                     uint64_t skipped = wake - cyc - 1;
                     for (auto &u : units)
                         u->accountSkipped(skipped, cyc);
-                    idleSkipped += skipped;
+                    skippedTotal += skipped;
                     cyc = wake - 1; // for-loop ++ lands on `wake`
                 }
             }

@@ -60,25 +60,6 @@ namespace tapas::sim {
 class AcceleratorSim;
 class TaskUnit;
 
-/**
- * Cycle-loop scheduling policy. Both produce byte-identical results
- * (cycle counts, stats, observability streams — pinned by
- * tests/sim_sched_test.cc); they differ only in host work per
- * simulated cycle.
- *
- *  - Scan: the original loop — every tile of every unit is visited
- *    every processed cycle, plus the whole-machine idle-skip jump.
- *  - Event: additionally puts *individual* tiles to sleep when their
- *    next possible state change is provably in the future, settling
- *    their stall/residency accounting in bulk on wake-up, and feeds
- *    the known wake cycles into a WakeupCalendar so the idle-skip
- *    jump is a calendar lookup instead of a full rescan.
- */
-enum class Scheduler : uint8_t {
-    Scan,  ///< legacy full scan each cycle
-    Event, ///< active tiles only + wakeup calendar (default)
-};
-
 /** Result of presenting a spawn to a unit's spawn port. */
 enum class SpawnOutcome : uint8_t {
     Accepted, ///< enqueued; the child will run
@@ -481,21 +462,21 @@ class TaskUnit
         tickTilePos = 0;
     }
 
-    /** Tiles currently asleep under the event scheduler (tests). */
+    /** Tiles currently asleep (tests). */
     unsigned sleepingTileCount() const { return sleepingTiles; }
 
     /**
      * Tile-cycles covered by sleep spans instead of per-cycle ticks.
      * Diagnostic only — deliberately NOT a stats Counter, so modeled
-     * results stay byte-identical across schedulers.
+     * results are the same whether or not a tile slept.
      */
     uint64_t tileSleptCycles() const { return tileSlept; }
 
     /**
      * End-of-run settle: close out every still-sleeping tile through
      * `upto` (the last processed cycle). The run may end — root
-     * retire, failure, interrupt — while a tile is mid-span; scan
-     * mode would have ticked it quietly through that cycle, so its
+     * retire, failure, interrupt — while a tile is mid-span; an
+     * awake tile would have ticked quietly through that cycle, so its
      * bulk accounting must land before stats are read.
      */
     void
@@ -568,7 +549,7 @@ class TaskUnit
     void retire(unsigned slot, uint64_t now);
     void detachFromTile(unsigned slot);
 
-    // --- event-scheduler tile sleep ------------------------------------
+    // --- tile sleep ----------------------------------------------------
 
     /**
      * Earliest future cycle at which the given (quiet this cycle)
@@ -587,8 +568,8 @@ class TaskUnit
 
     /**
      * Close out a sleeping tile's skipped span: bulk-account the
-     * quiet cycles (sleepBase, upto] exactly as scan mode would have
-     * accrued them one by one — tile-busy counters plus the data
+     * quiet cycles (sleepBase, upto] exactly as per-cycle ticks would
+     * have accrued them one by one — tile-busy counters plus the data
      * box's stall/retry witnesses — then mark the tile awake. The
      * tile's next real tick restamps every witness.
      */
@@ -598,7 +579,7 @@ class TaskUnit
      * External poke (dispatch, child join, call return) landing on a
      * possibly-sleeping tile at cycle `now`. No-op when awake.
      * Settles through `now` when the tile's position in this cycle's
-     * tile loop has already passed (scan mode would have ticked it
+     * tile loop has already passed (an awake tile would have ticked
      * quietly before the poke arrived, and it reacts next cycle),
      * through `now - 1` otherwise (it still gets its step this
      * cycle, in scan order).
@@ -662,7 +643,7 @@ class TaskUnit
     uint64_t tileSlept = 0;
 
     /** May tick() put quiet tiles to sleep? (set by run()) */
-    bool eventSleep = false;
+    bool sleepAllowed = false;
 
     /**
      * Where this cycle's tile loop currently stands: tick() stamps
@@ -791,9 +772,9 @@ class AcceleratorSim
                         ir::RtValue v, uint64_t now);
 
     /**
-     * Record a known-future tile wake in the calendar (event
-     * scheduler). Hints only: a stale or early entry costs one
-     * processed quiet cycle, never correctness.
+     * Record a known-future tile wake in the calendar (tile sleep).
+     * Hints only: a stale or early entry costs one processed quiet
+     * cycle, never correctness.
      */
     void
     scheduleWake(uint64_t cycle)
@@ -813,7 +794,7 @@ class AcceleratorSim
      * progressEvent() its fire() charged up front (exec.cc). A
      * retry-every-cycle stall thus counts zero progress — the event
      * stream measures activity, not attempts — which is what lets
-     * the event scheduler sleep a tile that is only being rejected,
+     * the cycle loop sleep a tile that is only being rejected,
      * and keeps the watchdog an honest no-forward-progress detector.
      */
     void retractProgressEvent() { --progressEvents; }
@@ -983,28 +964,6 @@ class AcceleratorSim
     /** Cycles without progress before declaring deadlock. */
     uint64_t watchdogCycles = 1'000'000;
 
-    /**
-     * Idle-cycle fast-forward: when a cycle makes no progress and
-     * every unit is quiescent (only in-flight memory responses,
-     * fixed-latency ops, or delayed spawn retries pending), jump
-     * straight to the earliest wake-up cycle instead of spinning.
-     * Cycle-exact by construction — modeled cycle counts, stats, and
-     * observability streams are identical either way (pinned by
-     * tests/sim_perf_test.cc). Auto-disabled while a fault injector
-     * with any nonzero rate is attached: those draw from the RNG
-     * every cycle, so skipping would change the fault schedule.
-     */
-    bool idleSkip = true;
-
-    /**
-     * Cycle-loop scheduling policy (see Scheduler). Event mode is
-     * byte-identical to Scan on every workload — including fault
-     * injection, tracing, and checkpoint/resume — and is the
-     * default; Scan remains selectable as the reference
-     * implementation and differential-test oracle.
-     */
-    Scheduler scheduler = Scheduler::Event;
-
     /** The design's decoded micro-op tables (ir/lower.hh). */
     const ir::LoweredProgram &lowered() const { return *_design.lowered; }
 
@@ -1051,13 +1010,18 @@ class AcceleratorSim
     uint64_t checkpointEveryCycles = 0;
     std::function<void(uint64_t)> onCheckpoint;
 
-    /** Cycles the last run() fast-forwarded over (diagnostics). */
-    uint64_t skippedCycles() const { return idleSkipped; }
+    /**
+     * Cycles the last run() fast-forwarded over because every unit
+     * was only waiting on a timer (diagnostics; 0 while a fault
+     * injector with a nonzero rate draws from its RNG every cycle).
+     */
+    uint64_t skippedCycles() const { return skippedTotal; }
 
     /**
-     * Tile-cycles the event scheduler covered with per-tile sleep
-     * spans in the last run() (summed over units; 0 in scan mode).
-     * Diagnostic only — never folded into stats or RunResult.
+     * Tile-cycles covered with per-tile sleep spans in the last
+     * run() (summed over units; 0 when a sink or a nonzero fault rate
+     * kept every tile awake). Diagnostic only — never folded into
+     * stats or RunResult.
      */
     uint64_t tileSleptCycles() const
     {
@@ -1087,9 +1051,9 @@ class AcceleratorSim
     std::vector<std::vector<ir::RtValue>> lowPools;
 
     uint64_t _cycles = 0;
-    uint64_t idleSkipped = 0;
+    uint64_t skippedTotal = 0;
 
-    /** Future tile wakes (event scheduler); reset each run(). */
+    /** Future wakes of sleeping tiles; reset each run(). */
     WakeupCalendar calendar;
     uint64_t progressEvents = 0;
     std::vector<obs::TraceSink *> sinks;

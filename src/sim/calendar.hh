@@ -1,15 +1,14 @@
 /**
  * @file
- * Wakeup calendar for the event-driven scheduler: a bucketed timing
+ * Wakeup calendar for the cycle loop's tile sleep: a bucketed timing
  * wheel over future simulated cycles.
  *
- * The event scheduler puts a tile to sleep when its next possible
- * state change is provably in the future (an in-flight memory
- * response, a fixed-latency op, an MSHR-retire bound) and records
- * that cycle here. The top-level cycle loop then uses the calendar's
- * earliest entry as the fast-forward target when every tile is
- * asleep, instead of re-deriving wake bounds from scratch each quiet
- * cycle.
+ * The cycle loop puts a tile to sleep when its next possible state
+ * change is provably in the future (an in-flight memory response, a
+ * fixed-latency op, an MSHR-retire bound) and records that cycle
+ * here. It then uses the calendar's earliest entry as the
+ * fast-forward target when every tile is asleep, instead of
+ * re-deriving wake bounds from scratch each quiet cycle.
  *
  * Entries are *conservative hints with lazy deletion*: a tile woken
  * early by an external poke (a dispatch, a child join, a call

@@ -403,12 +403,12 @@ TaskUnit::tick(uint64_t now)
         }
         tile.box.tick(now);
 
-        // Event scheduler: a tile that just went through a provably
+        // Tile sleep: a tile that just went through a provably
         // quiet cycle (no firing, no progress event from its
         // instances) may sleep until its earliest internal timer.
         // The fired/progress gate is only a cheap pre-filter;
         // correctness rests on tileWake()'s veto logic.
-        if (eventSleep && tile.firedThisCycle == 0 &&
+        if (sleepAllowed && tile.firedThisCycle == 0 &&
             now >= tile.stuckUntil &&
             sim.progressCount() == progressBefore) {
             uint64_t w = tileWake(tile, now);
@@ -523,7 +523,7 @@ TaskUnit::settleTile(unsigned t, uint64_t upto)
     tapas_assert(upto >= base, "settling a tile backwards");
     const uint64_t n = upto - base;
     if (n > 0) {
-        // Exactly what n scan-mode quiet cycles would have accrued:
+        // Exactly what n quiet per-cycle ticks would have accrued:
         // the busy-cycle count (membership is frozen while asleep —
         // detach needs a step, dispatch pokes) and the data box's
         // per-cycle retry/reject witnesses. Residency attribution
@@ -536,7 +536,7 @@ TaskUnit::settleTile(unsigned t, uint64_t upto)
     // Spawn-waiter teardown: each slept cycle re-presented every
     // retrying node against its (provably still-full) target queue,
     // so the target tallies one queue-full reject per node per
-    // cycle — exactly what scan mode would have counted live. The
+    // cycle — exactly what per-cycle ticks would have counted. The
     // targets' own reject witnesses only cover live attempts, so
     // this credit never overlaps accountSkipped()'s replay.
     auto &waits = tileSpawnWaits[t];
@@ -563,8 +563,8 @@ TaskUnit::wakeTileForPoke(unsigned t, uint64_t now)
 {
     if (tileSleepUntil[t] == 0)
         return;
-    // Did this cycle's tile loop already pass tile t? Then scan mode
-    // would have ticked it quietly at `now` before the poke arrived
+    // Did this cycle's tile loop already pass tile t? Then an awake
+    // tile would have ticked quietly at `now` before the poke arrived
     // (count `now` into the settled span; it reacts at now+1).
     // Otherwise it still gets its step this cycle, in scan order.
     const bool passed = tickCycle == now && tickTilePos > t;

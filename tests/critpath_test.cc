@@ -4,8 +4,7 @@
  * the two pinned invariants — path length == simulated cycles and the
  * per-class attribution partitions the path exactly — plus what-if
  * bound sanity (>= 1, superset-monotone), byte-deterministic JSON,
- * idle-skip independence, the explain-off identity, and the DSE
- * frontier annotation.
+ * the explain-off identity, and the DSE frontier annotation.
  */
 
 #include <gtest/gtest.h>
@@ -24,11 +23,9 @@ namespace {
 
 /** Run `w` through the accelerator engine with --explain on. */
 driver::RunResult
-runExplained(workloads::Workload &w, bool idle_skip = true)
+runExplained(workloads::Workload &w)
 {
-    driver::AccelSimEngine::Options eo;
-    eo.idleSkip = idle_skip;
-    driver::AccelSimEngine engine(std::move(eo));
+    driver::AccelSimEngine engine;
     engine.runOptions.explain = true;
     driver::RunResult r = engine.runWorkload(w, 64 << 20);
     EXPECT_TRUE(r.ok()) << w.name;
@@ -206,25 +203,6 @@ TEST(CritPath, ExplainIsDeterministicAndDoesNotPerturbTheRun)
     EXPECT_EQ(r2.bottleneck->toJson().dump(),
               r3.bottleneck->toJson().dump());
     EXPECT_TRUE(r2.equals(r3));
-}
-
-TEST(CritPath, IdleSkipDoesNotChangeTheReport)
-{
-    // The bulk stall accounting of the idle-cycle fast-forward must
-    // agree exactly with per-cycle stepping.
-    std::vector<workloads::Workload> skip_on = suite();
-    std::vector<workloads::Workload> skip_off = suite();
-    for (size_t i = 0; i < skip_on.size(); ++i) {
-        driver::RunResult on = runExplained(skip_on[i], true);
-        driver::RunResult off = runExplained(skip_off[i], false);
-        EXPECT_EQ(on.cycles, off.cycles) << skip_on[i].name;
-        ASSERT_TRUE(on.bottleneck && off.bottleneck)
-            << skip_on[i].name;
-        EXPECT_TRUE(*on.bottleneck == *off.bottleneck)
-            << skip_on[i].name << "\n"
-            << on.bottleneckReport << "\n"
-            << off.bottleneckReport;
-    }
 }
 
 TEST(CritPath, EmptyRunYieldsEmptyButValidReport)

@@ -1,17 +1,21 @@
 /**
  * @file
- * Scheduler-equivalence tests: the event-driven cycle core (per-tile
- * sleep + wakeup calendar, sim::Scheduler::Event — the default) must
- * produce a RunResult that compares equal field-for-field with the
- * legacy full-scan loop (sim::Scheduler::Scan) on every workload and
- * under every observability/lifecycle configuration: profiling,
- * fault injection with a fixed seed, --explain sinks, trace sinks,
- * and deadline-interrupted checkpoint/resume. The scheduler is a
- * pure simulation-speed knob; any observable divergence is a bug.
+ * Cycle-loop fast-path tests. The loop skips whole-machine idle spans
+ * and sleeps individual quiet tiles, settling their accounting in
+ * bulk on wake-up. Both are automatic: a nonzero fault rate (RNG
+ * draws every cycle) turns both off, an attached trace sink turns
+ * tile sleep off. These tests check that the paths engage where they
+ * should, stay off where they must, and that an observed run (tiles
+ * awake) reproduces an unobserved one field for field — across
+ * interrupt, replay and checkpoint boundaries too. Per-workload
+ * numbers are pinned by tests/sim_fingerprint_test.cc.
  */
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,228 +31,154 @@ namespace {
 
 constexpr uint64_t kMemBytes = 32ull << 20;
 
-/** The paper suite at test-sized inputs (bench/common.hh shapes). */
-std::vector<workloads::Workload>
-suite()
-{
-    std::vector<workloads::Workload> s;
-    s.push_back(workloads::makeMatrixAdd(24));
-    s.push_back(workloads::makeStencil(16, 16, 1));
-    s.push_back(workloads::makeSaxpy(1024));
-    s.push_back(workloads::makeImageScale(32, 16));
-    s.push_back(workloads::makeDedup(16, 128));
-    s.push_back(workloads::makeFib(12));
-    s.push_back(workloads::makeMergeSort(512, 32));
-    return s;
-}
-
-/** Run `w` under `sched` with profiling on (broadest stats surface). */
+/** Run `w` with profiling on (broadest stats surface). */
 driver::RunResult
-runWith(workloads::Workload &w, sim::Scheduler sched,
-        driver::AccelSimEngine::Options eo = {},
+runWith(workloads::Workload &w, driver::AccelSimEngine::Options eo = {},
         driver::RunOptions ro = {})
 {
-    eo.scheduler = sched;
     driver::AccelSimEngine eng(std::move(eo));
     ro.profile = true;
     return eng.runWorkload(w, kMemBytes, ro);
 }
 
-/**
- * The headline differential: every workload, single- and multi-tile,
- * with and without a fixed-seed fault injector, byte-identical
- * between the scan reference and the event core. Fault rates force
- * the event core to degenerate to scan order (per-cycle RNG draws
- * forbid sleeping), so that leg pins the gating as much as the math.
- */
-TEST(SchedEquiv, EveryWorkloadTilesFaultsByteIdentical)
+/** saxpy over a tiny cache in front of slow, narrow DRAM. */
+workloads::Workload
+dramBoundSaxpy()
 {
-    for (unsigned tiles : {1u, 4u}) {
-        for (bool faults : {false, true}) {
-            auto ref_suite = suite();
-            auto opt_suite = suite();
-            for (size_t i = 0; i < ref_suite.size(); ++i) {
-                SCOPED_TRACE(std::string(ref_suite[i].name) +
-                             " tiles=" + std::to_string(tiles) +
-                             " faults=" + (faults ? "on" : "off"));
-                driver::AccelSimEngine::Options eo;
-                eo.tiles = tiles;
-                if (faults) {
-                    sim::FaultConfig fc;
-                    fc.seed = 0xfeedu;
-                    fc.spawnDropRate = 1e-3;
-                    fc.queueCorruptRate = 1e-3;
-                    fc.memDropRate = 1e-3;
-                    fc.memDelayRate = 1e-3;
-                    fc.tileStuckRate = 1e-3;
-                    eo.fault = fc;
-                }
-                driver::RunResult ref =
-                    runWith(ref_suite[i], sim::Scheduler::Scan, eo);
-                driver::RunResult opt =
-                    runWith(opt_suite[i], sim::Scheduler::Event, eo);
-                // A fault-injected run may legitimately end in a
-                // structured failure; equals() compares that too.
-                if (!faults) {
-                    EXPECT_TRUE(ref.ok()) << ref_suite[i].name;
-                    EXPECT_TRUE(ref.verifyError.empty())
-                        << ref.verifyError;
-                }
-                EXPECT_TRUE(ref.equals(opt))
-                    << "event scheduler diverged: cycles "
-                    << ref.cycles << " vs " << opt.cycles;
-            }
-        }
-    }
+    auto w = workloads::makeSaxpy(2048);
+    w.params.mem.cacheBytes = 4 * 1024;
+    w.params.mem.dramLatency = 400;
+    w.params.mem.dramWordsPerCycle = 1;
+    w.params.mem.mshrs = 2;
+    return w;
 }
 
 /**
- * A tiny cache over slow, narrow DRAM starves the data boxes: long
- * MSHR-full head-reject spans are exactly where tile sleep earns its
- * keep and where its bulk stall accounting (DataBox::accountSkipped
- * over a settled span) must reproduce scan's per-cycle witnesses.
- * Also asserts the optimization actually engages here — a scheduler
- * that never sleeps would pass every equivalence test vacuously.
+ * Long MSHR-full head-reject spans are where tile sleep earns its
+ * keep and where its bulk stall accounting must reproduce per-tile
+ * ticking: the unobserved run (tiles sleep) must equal the same run
+ * with a tracer attached (every tile awake).
  */
 TEST(SchedEquiv, DramBoundSleepEngagesAndMatches)
 {
-    auto make = [] {
-        auto w = workloads::makeSaxpy(2048);
-        w.params.mem.cacheBytes = 4 * 1024;
-        w.params.mem.dramLatency = 400;
-        w.params.mem.dramWordsPerCycle = 1;
-        w.params.mem.mshrs = 2;
-        return w;
-    };
-    auto w1 = make();
-    auto w2 = make();
+    auto w1 = dramBoundSaxpy();
+    auto w2 = dramBoundSaxpy();
     uint64_t slept = 0;
     driver::AccelSimEngine::Options eo;
     eo.observer = [&](const hls::AcceleratorDesign &,
                       sim::AcceleratorSim &sim) {
         slept = sim.tileSleptCycles();
     };
-    driver::RunResult ref = runWith(w1, sim::Scheduler::Scan, eo);
-    EXPECT_EQ(slept, 0u); // scan mode never sleeps a tile
-    driver::RunResult opt =
-        runWith(w2, sim::Scheduler::Event, std::move(eo));
-    EXPECT_TRUE(ref.ok());
-    EXPECT_TRUE(ref.equals(opt))
-        << "event scheduler diverged: cycles " << ref.cycles
-        << " vs " << opt.cycles;
+    driver::RunResult fast = runWith(w1, eo);
     EXPECT_GT(slept, 0u) << "tile sleep never engaged";
+
+    sim::TaskTracer tracer;
+    eo.tracer = &tracer;
+    driver::RunResult traced = runWith(w2, std::move(eo));
+    EXPECT_EQ(slept, 0u) << "a trace sink must keep tiles awake";
+    EXPECT_TRUE(fast.ok());
+    EXPECT_TRUE(fast.equals(traced))
+        << "tile sleep diverged: cycles " << fast.cycles << " vs "
+        << traced.cycles;
+}
+
+/** The idle skip must actually fire on a memory-bound workload. */
+TEST(IdleSkip, ActuallySkipsCycles)
+{
+    auto w = workloads::makeSaxpy(1024);
+    uint64_t skipped = 0;
+    driver::AccelSimEngine::Options eo;
+    eo.observer = [&](const hls::AcceleratorDesign &,
+                      sim::AcceleratorSim &sim) {
+        skipped = sim.skippedCycles();
+    };
+    driver::RunResult r = runWith(w, std::move(eo));
+    EXPECT_TRUE(r.ok());
+    EXPECT_GT(skipped, 0u);
+}
+
+/** A nonzero fault rate disables the skip: zero cycles skipped. */
+TEST(IdleSkip, DisabledReportsZero)
+{
+    auto w = workloads::makeSaxpy(1024);
+    uint64_t skipped = ~0ull;
+    uint64_t slept = ~0ull;
+    driver::AccelSimEngine::Options eo;
+    eo.fault = sim::FaultConfig::uniform(1e-3, 0xfeedu);
+    eo.observer = [&](const hls::AcceleratorDesign &,
+                      sim::AcceleratorSim &sim) {
+        skipped = sim.skippedCycles();
+        slept = sim.tileSleptCycles();
+    };
+    runWith(w, std::move(eo));
+    EXPECT_EQ(skipped, 0u);
+    EXPECT_EQ(slept, 0u);
 }
 
 /**
- * Zero-rate injector: consumes no RNG, so tile sleep stays legal and
- * the fault.* stat block must still come out identical.
+ * A zero-rate injector consumes no RNG, so both fast paths stay on;
+ * cycles and every stat outside the fault.* block must equal a run
+ * with no injector at all.
  */
 TEST(SchedEquiv, ZeroRateInjectorByteIdentical)
 {
     auto w1 = workloads::makeFib(12);
     auto w2 = workloads::makeFib(12);
+    driver::RunResult none = runWith(w1);
     driver::AccelSimEngine::Options eo;
     eo.fault = sim::FaultConfig{};
-    driver::RunResult ref = runWith(w1, sim::Scheduler::Scan, eo);
-    driver::RunResult opt = runWith(w2, sim::Scheduler::Event, eo);
-    EXPECT_TRUE(ref.equals(opt));
+    driver::RunResult zero = runWith(w2, std::move(eo));
+    ASSERT_TRUE(none.ok());
+    EXPECT_EQ(none.cycles, zero.cycles);
+    std::map<std::string, double> rest = zero.stats;
+    std::erase_if(rest, [](const auto &kv) {
+        return kv.first.starts_with("fault.");
+    });
+    EXPECT_EQ(none.stats, rest);
 }
 
 /**
- * --explain attaches a CriticalPathSink, which disables tile sleep
- * (residency attribution needs per-cycle observation); the event
- * scheduler must still match scan exactly, bottleneck report and
- * critpath.* stats included.
- */
-TEST(SchedEquiv, ExplainReportIdentical)
-{
-    auto run = [](sim::Scheduler sched) {
-        auto w = workloads::makeMergeSort(512, 32);
-        driver::RunOptions ro;
-        ro.explain = true;
-        return runWith(w, sched, {}, ro);
-    };
-    driver::RunResult ref = run(sim::Scheduler::Scan);
-    driver::RunResult opt = run(sim::Scheduler::Event);
-    EXPECT_TRUE(ref.ok());
-    EXPECT_FALSE(ref.bottleneckReport.empty());
-    EXPECT_TRUE(ref.equals(opt));
-    EXPECT_EQ(ref.bottleneckReport, opt.bottleneckReport);
-}
-
-/**
- * With a tracer attached the schedulers must produce the identical
- * event stream — same cycles, kinds, units, slots, in order.
- */
-TEST(SchedEquiv, TracedStreamExact)
-{
-    auto runTraced = [](sim::Scheduler sched) {
-        auto w = workloads::makeMergeSort(512, 32);
-        sim::TaskTracer tracer;
-        driver::AccelSimEngine::Options eo;
-        eo.tracer = &tracer;
-        eo.scheduler = sched;
-        driver::AccelSimEngine eng(std::move(eo));
-        driver::RunResult r = eng.runWorkload(w, kMemBytes);
-        EXPECT_TRUE(r.ok());
-        return std::make_pair(std::move(r), tracer.all());
-    };
-    auto [ref, ref_events] = runTraced(sim::Scheduler::Scan);
-    auto [opt, opt_events] = runTraced(sim::Scheduler::Event);
-    EXPECT_TRUE(ref.equals(opt));
-    ASSERT_EQ(ref_events.size(), opt_events.size());
-    for (size_t i = 0; i < ref_events.size(); ++i) {
-        EXPECT_EQ(ref_events[i].cycle, opt_events[i].cycle) << i;
-        EXPECT_EQ(ref_events[i].kind, opt_events[i].kind) << i;
-        EXPECT_EQ(ref_events[i].sid, opt_events[i].sid) << i;
-        EXPECT_EQ(ref_events[i].slot, opt_events[i].slot) << i;
-    }
-}
-
-/**
- * Checkpoint/resume across schedulers: interrupting an event-mode
- * run at a deterministic cycle deadline and replaying the recipe
- * must reproduce the uninterrupted run byte-for-byte — and both must
- * equal the scan-mode reference. A mid-sleep interrupt is the sharp
- * edge: the end-of-run settle has to close every open sleep span
- * before stats are read.
+ * Interrupting at a deterministic cycle deadline and replaying the
+ * recipe must reproduce the uninterrupted run byte for byte. A
+ * mid-sleep interrupt is the sharp edge: the end-of-run settle has
+ * to close every open sleep span before stats are read, so the
+ * prefix must also equal a traced (never sleeping) run stopped at
+ * the same boundary.
  */
 TEST(SchedEquiv, InterruptThenReplayByteIdentical)
 {
-    auto runOnce = [](sim::Scheduler sched, driver::RunOptions ro) {
+    auto runOnce = [](driver::RunOptions ro,
+                      sim::TaskTracer *tracer = nullptr) {
         auto w = workloads::makeSaxpy(1024);
-        return runWith(w, sched, {}, std::move(ro));
+        driver::AccelSimEngine::Options eo;
+        eo.tracer = tracer;
+        return runWith(w, std::move(eo), std::move(ro));
     };
 
-    driver::RunResult scan_ref =
-        runOnce(sim::Scheduler::Scan, {});
-    driver::RunResult ref = runOnce(sim::Scheduler::Event, {});
+    driver::RunResult ref = runOnce({});
     ASSERT_TRUE(ref.ok());
     ASSERT_GT(ref.cycles, 2u);
-    EXPECT_TRUE(ref.equals(scan_ref));
 
     driver::RunOptions mid;
     mid.deadlineCycles = ref.cycles / 2;
-    driver::RunResult stopped = runOnce(sim::Scheduler::Event, mid);
+    driver::RunResult stopped = runOnce(mid);
     EXPECT_TRUE(stopped.interrupted);
     EXPECT_EQ(stopped.interruptCycle, ref.cycles / 2);
 
-    // The interrupted prefix itself must match a scan run stopped at
-    // the same boundary (tiles asleep at the deadline get settled).
-    driver::RunResult scan_stopped =
-        runOnce(sim::Scheduler::Scan, mid);
-    EXPECT_TRUE(stopped.equals(scan_stopped))
+    sim::TaskTracer tracer;
+    driver::RunResult traced_stopped = runOnce(mid, &tracer);
+    EXPECT_TRUE(stopped.equals(traced_stopped))
         << "interrupted prefix diverged at cycle "
         << stopped.interruptCycle;
 
-    driver::RunResult resumed = runOnce(sim::Scheduler::Event, {});
+    driver::RunResult resumed = runOnce({});
     EXPECT_TRUE(resumed.equals(ref))
         << "replay after interruption diverged";
 }
 
 /**
- * Checkpoint callbacks land on exact cadence multiples in event mode
- * too: calendar jumps and tile sleep never overshoot a boundary.
+ * Checkpoint callbacks land on exact cadence multiples: calendar
+ * jumps and tile sleep never overshoot a boundary.
  */
 TEST(SchedEquiv, CheckpointBoundariesExact)
 {
@@ -257,7 +187,7 @@ TEST(SchedEquiv, CheckpointBoundariesExact)
     driver::RunOptions ro;
     ro.checkpointEveryCycles = 64;
     ro.onCheckpoint = [&](uint64_t cyc) { fired.push_back(cyc); };
-    driver::RunResult r = runWith(w, sim::Scheduler::Event, {}, ro);
+    driver::RunResult r = runWith(w, {}, ro);
     ASSERT_TRUE(r.ok());
     ASSERT_FALSE(fired.empty());
     uint64_t prev = 0;

@@ -3,11 +3,9 @@
 
 Compares a fresh `bench/sim_throughput --json` report against the
 checked-in baseline (BENCH_simspeed.json at the repo root) row by row,
-keyed on (workload, scheduler, tiles) — rows lacking a scheduler key
-(older baselines) key on "" and still match a current report without
-one. The metric is simulated KHz —
-simulated cycles per wall-clock second — so it tracks simulator
-speed, not workload behavior. Cycle counts are also cross-checked
+keyed on (workload, tiles). The metric is simulated KHz — simulated
+cycles per wall-clock second — so it tracks simulator speed, not
+workload behavior. Cycle counts are also cross-checked
 exactly: a cycle drift means the simulator's *timing model* changed,
 which is a different (and worse) kind of regression than running
 slowly.
@@ -42,7 +40,7 @@ import sys
 
 
 def load_rows(path):
-    """Map (workload, scheduler, tiles) -> row dict."""
+    """Map (workload, tiles) -> row dict."""
     with open(path) as f:
         doc = json.load(f)
     rows = doc.get("rows", [])
@@ -54,17 +52,12 @@ def load_rows(path):
             print(f"  warn: {path} has a row without workload/tiles "
                   "keys; skipped")
             continue
-        out[(r["workload"], r.get("scheduler", ""), r["tiles"])] = r
+        out[(r["workload"], r["tiles"])] = r
     return out
 
 
-def row_label(key):
-    workload, scheduler, _tiles = key
-    return f"{workload}/{scheduler}" if scheduler else workload
-
-
 def row_name(key):
-    return f"{row_label(key)} x{key[2]}"
+    return f"{key[0]} x{key[1]}"
 
 
 def main():
@@ -124,8 +117,7 @@ def main():
             status = "warn"
         else:
             status = "ok"
-        label = row_label(key)
-        print(f"{label:<22} {key[2]:>5} {b['sim_khz']:>10.1f} "
+        print(f"{key[0]:<22} {key[1]:>5} {b['sim_khz']:>10.1f} "
               f"{c['sim_khz']:>10.1f} {ratio:>6.2f}x  {status}")
         b_eps = b.get("events_per_sec")
         c_eps = c.get("events_per_sec")

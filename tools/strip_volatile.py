@@ -10,11 +10,6 @@ that intentionally record wall-clock facts about the producing run:
   host_seconds      wall-clock timings from the throughput bench
   sim_khz           derived from host_seconds
   events_per_sec    derived from host_seconds
-  scheduler         which cycle-loop policy (scan/event) produced a
-                    row — a host-side label; modeled content must be
-                    byte-identical across schedulers, which is
-                    exactly what the CI scheduler-equivalence diff
-                    checks by stripping it
 
 (Modelled "seconds" fields — simulated cycles over Fmax — are
 deterministic and deliberately NOT stripped.)
@@ -44,7 +39,6 @@ VOLATILE_KEYS = {
     "host_seconds",
     "sim_khz",
     "events_per_sec",
-    "scheduler",
 }
 
 

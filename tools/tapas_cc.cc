@@ -141,10 +141,6 @@ usage(const char *argv0)
            "0x7a7a5)\n"
            "  --max-retries N     per-task fault-retry budget "
            "(default 8)\n"
-           "  --scheduler S       cycle-loop policy for --run: "
-           "event (default) or\n"
-           "                      scan (legacy reference loop); "
-           "results are byte-identical\n"
            "  --dse [ARGS...]     explore tiles x ntasks (exhaustive "
            "grid, Cyclone V);\n"
            "                      reports the cycles/ALMs/power "
@@ -324,10 +320,11 @@ main(int argc, char **argv)
     std::string dse_journal_path;
     bool dse_resume = false;
     double dse_deadline_sec = 0;
-    sim::Scheduler scheduler = sim::Scheduler::Event;
+    std::vector<std::string> given; ///< every flag, in argv order
 
     for (int i = first_flag; i < argc; ++i) {
         std::string a = argv[i];
+        given.push_back(a);
         auto next = [&]() -> std::string {
             if (++i >= argc)
                 tapas_fatal("flag '%s' needs an argument",
@@ -369,16 +366,6 @@ main(int argc, char **argv)
         } else if (a == "--max-retries") {
             max_retries = parseUnsigned(a, next());
             fault_given = true;
-        } else if (a == "--scheduler") {
-            std::string s = next();
-            if (s == "scan") {
-                scheduler = sim::Scheduler::Scan;
-            } else if (s == "event") {
-                scheduler = sim::Scheduler::Event;
-            } else {
-                tapas_fatal("--scheduler expects scan or event, "
-                            "got '%s'", s.c_str());
-            }
         } else if (a == "--json") {
             json_path = next();
         } else if (a == "--emit-chisel") {
@@ -425,6 +412,41 @@ main(int argc, char **argv)
         }
     }
 
+    // A flag the requested modes would not read is an error, never
+    // silently ignored.
+    const bool resuming = !resume_path.empty();
+    auto firstGiven =
+        [&](std::initializer_list<const char *> flags) -> const char * {
+        for (const std::string &g : given)
+            for (const char *f : flags)
+                if (g == f)
+                    return f;
+        return nullptr;
+    };
+    if (!do_run && !resuming) {
+        if (const char *f = firstGiven(
+                {"--trace", "--trace-csv", "--profile", "--explain",
+                 "--fault-rate", "--fault-seed", "--max-retries",
+                 "--deadline", "--deadline-cycles", "--checkpoint",
+                 "--checkpoint-every"}))
+            tapas_fatal("%s applies only to --run or --resume", f);
+    }
+    if (!do_dse) {
+        if (const char *f = firstGiven(
+                {"--dse-tiles", "--dse-ntasks", "--dse-journal",
+                 "--dse-resume", "--dse-deadline"}))
+            tapas_fatal("%s applies only to --dse", f);
+    }
+    if (firstGiven({"--checkpoint-every"}) && checkpoint_path.empty())
+        tapas_fatal("--checkpoint-every needs --checkpoint PATH");
+    if (resuming) {
+        if (const char *f = firstGiven(
+                {"--tiles", "--ntasks", "--opt", "--unroll",
+                 "--fault-rate", "--fault-seed", "--max-retries"}))
+            tapas_fatal("%s cannot be combined with --resume: the "
+                        "snapshot fixes it", f);
+    }
+
     // First Ctrl-C requests cooperative cancellation; the run drains,
     // flushes partial artifacts, and exits kExitInterrupted.
     installSigintHandler();
@@ -440,7 +462,6 @@ main(int argc, char **argv)
     }
 
     driver::Snapshot snap;
-    const bool resuming = !resume_path.empty();
     if (resuming) {
         // The snapshot is the authoritative replay recipe: it
         // overrides the module source and every knob that shaped the
@@ -626,7 +647,6 @@ main(int argc, char **argv)
                 auto args = setupMem(mem);
                 driver::AccelSimEngine::Options eo;
                 eo.design = cd;
-                eo.scheduler = scheduler;
                 if (!trace_csv_path.empty())
                     eo.tracer = &tracer;
                 if (fault_cfg)
@@ -639,7 +659,7 @@ main(int argc, char **argv)
                 ro.cancel = &processCancelToken();
                 ro.deadlineSeconds = deadline_sec;
                 ro.deadlineCycles = deadline_cycles;
-                if (!checkpoint_path.empty() && checkpoint_every) {
+                if (checkpoint_every) {
                     ro.checkpointEveryCycles = checkpoint_every;
                     ro.onCheckpoint = [&](uint64_t cyc) {
                         driver::writeSnapshot(checkpoint_path,
@@ -717,13 +737,7 @@ main(int argc, char **argv)
                 }
                 std::cout << "\n";
             }
-            const bool fault_active =
-                fault_cfg && (fault_cfg->spawnDropRate > 0 ||
-                              fault_cfg->queueCorruptRate > 0 ||
-                              fault_cfg->memDropRate > 0 ||
-                              fault_cfg->memDelayRate > 0 ||
-                              fault_cfg->tileStuckRate > 0);
-            if (fault_active && !r.interrupted) {
+            if (fault_cfg && fault_cfg->any() && !r.interrupted) {
                 std::cout << "fault: injected="
                           << static_cast<uint64_t>(
                                  r.statOr("fault.spawn_drops", 0) +
