@@ -25,7 +25,7 @@ runWithMem(workloads::Workload &w, unsigned tiles,
     driver::AccelSimEngine::Options eo;
     eo.device = fpga::Device::cycloneV();
     eo.params = p;
-    return runAccelWith(w, std::move(eo), 64 << 20);
+    return runAccelWith(w, std::move(eo));
 }
 
 } // namespace

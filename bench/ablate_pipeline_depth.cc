@@ -25,7 +25,7 @@ runDepth(workloads::Workload &w, unsigned tiles, unsigned depth)
     driver::AccelSimEngine::Options eo;
     eo.device = fpga::Device::cycloneV();
     eo.params = p;
-    return runAccelWith(w, std::move(eo), 128 << 20);
+    return runAccelWith(w, std::move(eo));
 }
 
 } // namespace

@@ -24,7 +24,7 @@ runNtasks(workloads::Workload &w, unsigned tiles, unsigned ntasks)
     driver::AccelSimEngine::Options eo;
     eo.device = fpga::Device::cycloneV();
     eo.params = p;
-    return runAccelWith(w, std::move(eo), 64 << 20);
+    return runAccelWith(w, std::move(eo));
 }
 
 /** Sum "unit.<task>.spawn_rejects" over every task unit. */

@@ -22,7 +22,7 @@ measure(workloads::Workload &w, unsigned factor, unsigned tiles)
     eo.device = fpga::Device::cycloneV();
     eo.tiles = tiles;
     eo.unrollFactor = factor;
-    return runAccelWith(w, std::move(eo), 64 << 20);
+    return runAccelWith(w, std::move(eo));
 }
 
 } // namespace

@@ -299,23 +299,22 @@ withBenchFaults(driver::AccelSimEngine::Options eo)
 
 /**
  * Run `w` over an already-prepared design — the run() half of the
- * engine's compile/run split. Applies benchRunOptions() through the
- * explicit RunOptions overload: traced runs each get a distinct
- * numbered file (safe under --jobs), and --profile prints the
- * cycle-attribution table after the run verifies. fatal()s on a
- * structured failure or a golden-model mismatch.
+ * engine's compile/run split. Applies benchRunOptions() to the run:
+ * traced runs each get a distinct numbered file (safe under --jobs),
+ * and --profile prints the cycle-attribution table after the run
+ * verifies. fatal()s on a structured failure or a golden-model
+ * mismatch.
  */
 inline RunResult
 runPrepared(workloads::Workload &w, driver::AccelSimEngine &engine,
-            const driver::CompiledDesign &design,
-            uint64_t mem_bytes = 256ull << 20)
+            const driver::CompiledDesign &design)
 {
     driver::RunOptions ro = benchRunOptions();
     if (!ro.traceFile.empty()) {
         static std::atomic<unsigned> traced{0};
         ro.traceFile = numberedTracePath(ro.traceFile, traced++);
     }
-    RunResult r = engine.runWorkload(w, design, mem_bytes, ro);
+    RunResult r = engine.runWorkload(w, design, ro);
     if (r.interrupted) {
         // A bench table with holes is useless: report the interrupt
         // and exit with the distinct code. _Exit skips the other
@@ -363,12 +362,11 @@ runPrepared(workloads::Workload &w, driver::AccelSimEngine &engine,
  */
 inline RunResult
 runAccelWith(workloads::Workload &w,
-             driver::AccelSimEngine::Options eo,
-             uint64_t mem_bytes = 256ull << 20)
+             driver::AccelSimEngine::Options eo)
 {
     driver::AccelSimEngine engine(withBenchFaults(std::move(eo)));
     driver::CompiledDesign design = engine.prepare(w);
-    return runPrepared(w, engine, design, mem_bytes);
+    return runPrepared(w, engine, design);
 }
 
 /**
@@ -380,22 +378,20 @@ runAccelWith(workloads::Workload &w,
  */
 inline RunResult
 runAccel(workloads::Workload &w, unsigned ntiles,
-         const fpga::Device &dev,
-         uint64_t mem_bytes = 256ull << 20)
+         const fpga::Device &dev)
 {
     driver::AccelSimEngine::Options eo;
     eo.device = dev;
     eo.tiles = ntiles;
-    return runAccelWith(w, std::move(eo), mem_bytes);
+    return runAccelWith(w, std::move(eo));
 }
 
 /** Run `w` on the modelled CPU (consumes a fresh memory image). */
 inline RunResult
-runCpu(workloads::Workload &w, const cpu::CpuParams &params,
-       uint64_t mem_bytes = 256ull << 20)
+runCpu(workloads::Workload &w, const cpu::CpuParams &params)
 {
     driver::CpuSimEngine engine(params);
-    return engine.runWorkload(w, mem_bytes);
+    return engine.runWorkload(w, {});
 }
 
 /** One entry of the paper's benchmark suite at bench scale. */

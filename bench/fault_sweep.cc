@@ -59,7 +59,7 @@ runPoint(workloads::Workload &w, double rate, uint64_t seed,
 
     driver::AccelSimEngine engine(std::move(eo));
     Point p;
-    p.result = engine.runWorkload(w, 64 << 20);
+    p.result = engine.runWorkload(w, {});
     p.failed = !p.result.ok();
     if (p.failed)
         p.failKind = p.result.failure->kind;

@@ -69,7 +69,7 @@ main(int argc, char **argv)
             cycles_per_task =
                 static_cast<double>(accel.cycles()) / kN;
         };
-        return runAccelWith(w, std::move(eo), 64 << 20);
+        return runAccelWith(w, std::move(eo));
     });
     std::vector<RunResult> results = sweep.run();
 

@@ -102,9 +102,9 @@ BM_InterpThroughput(benchmark::State &state)
     driver::InterpEngine eng;
     uint64_t insts = 0;
     for (auto _ : state) {
-        ir::MemImage mem(32 << 20);
+        ir::MemImage mem;
         auto args = w.setup(mem);
-        driver::RunResult r = eng.run(*w.module, *w.top, args, mem);
+        driver::RunResult r = eng.run(*w.module, *w.top, args, mem, {});
         insts += static_cast<uint64_t>(r.stat("total_insts"));
     }
     state.counters["insts/s"] = benchmark::Counter(
@@ -122,9 +122,9 @@ BM_AccelSimThroughput(benchmark::State &state)
     driver::CompiledDesign design = eng.prepare(w);
     uint64_t cycles = 0;
     for (auto _ : state) {
-        ir::MemImage mem(32 << 20);
+        ir::MemImage mem;
         auto args = w.setup(mem);
-        driver::RunResult r = eng.run(design, args, mem);
+        driver::RunResult r = eng.run(design, args, mem, {});
         cycles += r.cycles;
     }
     state.counters["sim_cycles/s"] = benchmark::Counter(

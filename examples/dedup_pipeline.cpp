@@ -38,7 +38,7 @@ main()
     }
 
     // --- accelerator run ----------------------------------------------
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);
@@ -57,7 +57,7 @@ main()
 
     // --- i7 baseline ----------------------------------------------------
     auto w2 = workloads::makeDedup(kChunks, kChunkSize);
-    ir::MemImage mem2(64 << 20);
+    ir::MemImage mem2;
     auto args2 = w2.setup(mem2);
     cpu::CpuRunResult i7 = cpu::runOnCpu(
         *w2.module, *w2.top, args2, mem2, cpu::CpuParams::intelI7());

@@ -38,7 +38,7 @@ main()
         p.setAllTiles(tiles);
         auto design = hls::compile(*w.module, w.top, p);
 
-        ir::MemImage mem(64 << 20);
+        ir::MemImage mem;
         auto args = w.setup(mem);
         sim::AcceleratorSim accel(*design, mem);
         accel.run(args);

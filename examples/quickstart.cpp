@@ -68,7 +68,7 @@ main()
     }
 
     // ---- 3. Simulate the accelerator --------------------------------
-    ir::MemImage mem(16 << 20);
+    ir::MemImage mem;
     mem.layout(mod);
     uint64_t base = mem.addressOf(vec);
     for (unsigned i = 0; i < kN; ++i)

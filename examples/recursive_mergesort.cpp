@@ -34,7 +34,7 @@ main()
             design->params.forTask(t->sid()).ntasks << "\n";
     }
 
-    ir::MemImage mem(128 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);

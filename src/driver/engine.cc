@@ -105,10 +105,9 @@ compileDesign(const ir::Module &mod, const std::string &top,
 }
 
 RunResult
-Engine::runWorkload(workloads::Workload &w, uint64_t mem_bytes,
-                    const RunOptions &ro)
+Engine::runWorkload(workloads::Workload &w, const RunOptions &ro)
 {
-    ir::MemImage mem(mem_bytes);
+    ir::MemImage mem;
     std::vector<ir::RtValue> args = w.setup(mem);
     bindWorkload(w);
     RunResult r = run(*w.module, *w.top, args, mem, ro);
@@ -178,9 +177,6 @@ AccelSimEngine::run(ir::Module &mod, ir::Function &top,
                     const std::vector<ir::RtValue> &args,
                     ir::MemImage &mem, const RunOptions &ro)
 {
-    if (opts.design)
-        return run(*opts.design, args, mem, ro);
-
     hls::CompileOptions co = compileOptions();
     std::unique_ptr<hls::AcceleratorDesign> owned =
         hls::compile(mod, &top, co);
@@ -200,9 +196,9 @@ AccelSimEngine::run(const CompiledDesign &design,
 RunResult
 AccelSimEngine::runWorkload(workloads::Workload &w,
                             const CompiledDesign &design,
-                            uint64_t mem_bytes, const RunOptions &ro)
+                            const RunOptions &ro)
 {
-    ir::MemImage mem(mem_bytes);
+    ir::MemImage mem;
     std::vector<ir::RtValue> args = w.setup(mem);
     RunResult r = run(design, args, mem, ro);
     if (r.ok())

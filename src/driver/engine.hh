@@ -42,7 +42,7 @@
 namespace tapas::driver {
 
 /**
- * Cross-engine observability options, set on Engine::runOptions.
+ * Cross-engine observability options, passed to every run.
  * Engines without an observability layer (interp, cpu) ignore them.
  */
 struct RunOptions
@@ -286,30 +286,11 @@ class Engine
     virtual std::string name() const = 0;
 
     /**
-     * Default observability knobs, applied by the overloads that do
-     * not take an explicit RunOptions. Kept for callers that
-     * configure an engine once and run it many times; new code
-     * should prefer passing RunOptions per run.
-     */
-    RunOptions runOptions;
-
-    /**
      * Execute `top` with `args` over `mem`. `mem` must already hold
      * the program's globals/inputs (MemImage::layout or a workload
-     * setup). Engines with pre-passes may mutate `mod`. Routes
-     * through the RunOptions overload with this engine's runOptions.
-     */
-    RunResult
-    run(ir::Module &mod, ir::Function &top,
-        const std::vector<ir::RtValue> &args, ir::MemImage &mem)
-    {
-        return run(mod, top, args, mem, runOptions);
-    }
-
-    /**
-     * As run() above, with explicit per-run observability options
-     * (tracing, profiling). Engines that cannot honor them ignore
-     * them; see RunOptions.
+     * setup). Engines with pre-passes may mutate `mod`. Engines that
+     * cannot honor the observability options in `ro` ignore them;
+     * callers with nothing to observe pass `{}`.
      */
     virtual RunResult run(ir::Module &mod, ir::Function &top,
                           const std::vector<ir::RtValue> &args,
@@ -322,18 +303,8 @@ class Engine
      * the one marshal/verify path shared by every harness.
      *
      * @param w workload (its module may be mutated by pre-passes)
-     * @param mem_bytes memory-image size for the run
      */
-    RunResult
-    runWorkload(workloads::Workload &w,
-                uint64_t mem_bytes = 256ull << 20)
-    {
-        return runWorkload(w, mem_bytes, runOptions);
-    }
-
-    /** As runWorkload() with explicit per-run observability. */
-    RunResult runWorkload(workloads::Workload &w, uint64_t mem_bytes,
-                          const RunOptions &ro);
+    RunResult runWorkload(workloads::Workload &w, const RunOptions &ro);
 
   protected:
     /**
@@ -356,8 +327,6 @@ class InterpEngine : public Engine
     {}
 
     std::string name() const override { return "interp"; }
-
-    using Engine::run;
 
     RunResult run(ir::Module &mod, ir::Function &top,
                   const std::vector<ir::RtValue> &args,
@@ -394,14 +363,6 @@ class AccelSimEngine : public Engine
 
         /** Serial-loop unroll factor (< 2 disables). */
         unsigned unrollFactor = 0;
-
-        /**
-         * Simulate this prepared design instead of compiling
-         * (params/tiles/pre-pass options are then ignored). Owning —
-         * the engine shares the design's immutable payload, so the
-         * producer (prepare(), a DesignCache) may go away.
-         */
-        std::optional<CompiledDesign> design;
 
         /** Optional task-lifetime tracer (not owned). */
         sim::TaskTracer *tracer = nullptr;
@@ -461,15 +422,10 @@ class AccelSimEngine : public Engine
      */
     CompiledDesign prepare(const workloads::Workload &w);
 
-    /** Simulate a prepared design (engine runOptions apply). */
-    RunResult
-    run(const CompiledDesign &design,
-        const std::vector<ir::RtValue> &args, ir::MemImage &mem)
-    {
-        return run(design, args, mem, runOptions);
-    }
-
-    /** Simulate a prepared design with explicit observability. */
+    /**
+     * Simulate a prepared design. Its params, tiles and pre-passes
+     * were fixed when it was compiled; those Options do not apply.
+     */
     RunResult run(const CompiledDesign &design,
                   const std::vector<ir::RtValue> &args,
                   ir::MemImage &mem, const RunOptions &ro);
@@ -482,17 +438,9 @@ class AccelSimEngine : public Engine
      * is derived from `w.module`, which is only interchangeable with
      * the design's owned clone when the two print identically.
      */
-    RunResult
-    runWorkload(workloads::Workload &w, const CompiledDesign &design,
-                uint64_t mem_bytes = 256ull << 20)
-    {
-        return runWorkload(w, design, mem_bytes, runOptions);
-    }
-
-    /** As above with explicit per-run observability. */
     RunResult runWorkload(workloads::Workload &w,
                           const CompiledDesign &design,
-                          uint64_t mem_bytes, const RunOptions &ro);
+                          const RunOptions &ro);
 
   protected:
     void bindWorkload(const workloads::Workload &w) override;
@@ -520,8 +468,6 @@ class CpuSimEngine : public Engine
     {}
 
     std::string name() const override { return "cpu"; }
-
-    using Engine::run;
 
     RunResult run(ir::Module &mod, ir::Function &top,
                   const std::vector<ir::RtValue> &args,

@@ -264,7 +264,7 @@ evalOne(const WorkloadFactory &make, unsigned rung,
     driver::RunOptions ro;
     ro.explain = opts.explain && rung + 1 >= std::max(1u, opts.rungs);
     ro.cancel = cancel;
-    e.result = engine.runWorkload(w, look.design, opts.memBytes, ro);
+    e.result = engine.runWorkload(w, look.design, ro);
     e.simulated = true;
     if (e.result.interrupted) {
         // No replayable outcome: resume re-runs this point.

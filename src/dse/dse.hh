@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "dse/design_cache.hh"
+#include "ir/memimage.hh"
 #include "support/cancel.hh"
 #include "support/json.hh"
 
@@ -127,8 +128,8 @@ struct ExploreOptions
      */
     unsigned rungs = 3;
 
-    /** Memory-image bytes per simulation. */
-    uint64_t memBytes = 64ull << 20;
+    /** Memory-image limit per simulation (the image sizes itself). */
+    static constexpr uint64_t memBytes = ir::MemImage::kLimit;
 
     /**
      * Bound runaway candidates (e.g. an undersized task queue that

@@ -3,7 +3,10 @@
  * MemImage: a flat byte-addressable memory image shared by every
  * execution engine. Globals from a Module are laid out at fixed base
  * addresses; a bump region provides stack/heap space for allocas and
- * workload inputs. This models the shared-DRAM address space through
+ * workload inputs. The store covers only [0, high-water mark): it
+ * grows, zero-filled, as allocations pass its end, so an image costs
+ * what the run allocates, and any access outside the allocated extent
+ * traps. This models the shared-DRAM address space through
  * which the ARM host and the TAPAS accelerator communicate (paper
  * Section III: "all communication between the ARM and the accelerator
  * occurs through shared memory").
@@ -29,11 +32,13 @@ class MemImage
     /** Address 0 is kept unmapped so null dereferences trap. */
     static constexpr uint64_t kBase = 0x1000;
 
-    explicit MemImage(uint64_t size_bytes = 64ull << 20)
-        : bytes(size_bytes, 0), bump(kBase)
-    {}
+    /** Default exhaustion limit: the most an image may grow to. */
+    static constexpr uint64_t kLimit = 256ull << 20;
 
-    uint64_t sizeBytes() const { return bytes.size(); }
+    /** Nothing allocated; alloc() dies once it would pass `limit`. */
+    explicit MemImage(uint64_t limit = kLimit)
+        : bytes(kBase, 0), limit(limit)
+    {}
 
     /**
      * Assign a base address to every global in `mod`.
@@ -59,16 +64,18 @@ class MemImage
         return it->second;
     }
 
-    /** Bump-allocate a fresh region. */
+    /** Bump-allocate a fresh region, growing the store to cover it. */
     uint64_t
     alloc(uint64_t size, uint64_t align = 8)
     {
         bump = (bump + align - 1) & ~(align - 1);
         uint64_t addr = bump;
-        bump += size;
-        tapas_assert(bump <= bytes.size(),
+        tapas_assert(size <= limit && bump <= limit - size,
                      "memory image exhausted (%llu bytes)",
-                     static_cast<unsigned long long>(bytes.size()));
+                     static_cast<unsigned long long>(limit));
+        bump += size;
+        if (bump > bytes.size())
+            bytes.resize(bump, 0);
         return addr;
     }
 
@@ -181,8 +188,10 @@ class MemImage
                      static_cast<unsigned long long>(n));
     }
 
+    /** Zero-filled store over [0, high-water mark). */
     std::vector<uint8_t> bytes;
-    uint64_t bump;
+    uint64_t limit;
+    uint64_t bump = kBase;
     std::unordered_map<const GlobalVar *, uint64_t> globalBase;
 };
 

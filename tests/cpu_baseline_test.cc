@@ -18,7 +18,7 @@ namespace {
 TaskDag
 dagFor(Workload &w, const CpuParams &p)
 {
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     return buildTaskDag(*w.module, *w.top, args, mem, p);
 }
@@ -182,7 +182,7 @@ TEST(CpuCacheTest, L2CatchesL1Spills)
 TEST(MulticoreTest, RunsAllWorkloads)
 {
     for (auto &w : workloads::makePaperSuite(1)) {
-        ir::MemImage mem(64 << 20);
+        ir::MemImage mem;
         auto args = w.setup(mem);
         CpuRunResult r = runOnCpu(*w.module, *w.top, args, mem,
                                   CpuParams::intelI7());
@@ -200,13 +200,13 @@ TEST(MulticoreTest, ArmSlowerThanI7)
 {
     // The paper's context point: sequential ARM ~13x slower than i7.
     auto wi = workloads::makeStencil(16, 16, 1);
-    ir::MemImage mem_i(64 << 20);
+    ir::MemImage mem_i;
     auto args_i = wi.setup(mem_i);
     CpuRunResult i7 = runOnCpu(*wi.module, *wi.top, args_i, mem_i,
                                CpuParams::intelI7());
 
     auto wa = workloads::makeStencil(16, 16, 1);
-    ir::MemImage mem_a(64 << 20);
+    ir::MemImage mem_a;
     auto args_a = wa.setup(mem_a);
     CpuRunResult arm = runOnCpu(*wa.module, *wa.top, args_a, mem_a,
                                 CpuParams::armA9());

@@ -26,8 +26,9 @@ driver::RunResult
 runExplained(workloads::Workload &w)
 {
     driver::AccelSimEngine engine;
-    engine.runOptions.explain = true;
-    driver::RunResult r = engine.runWorkload(w, 64 << 20);
+    driver::RunOptions ro;
+    ro.explain = true;
+    driver::RunResult r = engine.runWorkload(w, ro);
     EXPECT_TRUE(r.ok()) << w.name;
     EXPECT_TRUE(r.verifyError.empty()) << r.verifyError;
     return r;
@@ -176,7 +177,7 @@ TEST(CritPath, ExplainIsDeterministicAndDoesNotPerturbTheRun)
 {
     auto w1 = workloads::makeFib(10);
     driver::AccelSimEngine bare;
-    driver::RunResult r1 = bare.runWorkload(w1, 64 << 20);
+    driver::RunResult r1 = bare.runWorkload(w1, {});
 
     auto w2 = workloads::makeFib(10);
     driver::RunResult r2 = runExplained(w2);

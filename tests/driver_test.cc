@@ -91,7 +91,7 @@ TEST(Engine, InterpRunsWorkload)
 {
     auto w = workloads::makeSaxpy(64);
     driver::InterpEngine eng;
-    driver::RunResult r = eng.runWorkload(w, 32 << 20);
+    driver::RunResult r = eng.runWorkload(w, {});
     EXPECT_TRUE(r.verifyError.empty()) << r.verifyError;
     EXPECT_GT(r.stat("total_insts"), 0);
     EXPECT_GT(r.spawns, 0u);
@@ -101,7 +101,7 @@ TEST(Engine, AccelSimRunsWorkload)
 {
     auto w = workloads::makeSaxpy(64);
     driver::AccelSimEngine eng;
-    driver::RunResult r = eng.runWorkload(w, 32 << 20);
+    driver::RunResult r = eng.runWorkload(w, {});
     EXPECT_TRUE(r.verifyError.empty()) << r.verifyError;
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.seconds, 0.0);
@@ -113,7 +113,7 @@ TEST(Engine, CpuSimRunsWorkload)
 {
     auto w = workloads::makeSaxpy(64);
     driver::CpuSimEngine eng;
-    driver::RunResult r = eng.runWorkload(w, 32 << 20);
+    driver::RunResult r = eng.runWorkload(w, {});
     EXPECT_TRUE(r.verifyError.empty()) << r.verifyError;
     EXPECT_GT(r.seconds, 0.0);
     EXPECT_GT(r.stat("serial_seconds"), 0);
@@ -125,13 +125,13 @@ TEST(Engine, TilesOverrideChangesCycles)
     e1.tiles = 1;
     driver::AccelSimEngine eng1(std::move(e1));
     auto w1 = workloads::makeStencil(16, 16, 1);
-    driver::RunResult r1 = eng1.runWorkload(w1, 32 << 20);
+    driver::RunResult r1 = eng1.runWorkload(w1, {});
 
     driver::AccelSimEngine::Options e4;
     e4.tiles = 4;
     driver::AccelSimEngine eng4(std::move(e4));
     auto w4 = workloads::makeStencil(16, 16, 1);
-    driver::RunResult r4 = eng4.runWorkload(w4, 32 << 20);
+    driver::RunResult r4 = eng4.runWorkload(w4, {});
 
     EXPECT_LT(r4.cycles, r1.cycles);
 }
@@ -142,8 +142,8 @@ TEST(Engine, RunResultEquals)
     auto w2 = workloads::makeSaxpy(64);
     driver::AccelSimEngine e1;
     driver::AccelSimEngine e2;
-    driver::RunResult a = e1.runWorkload(w1, 32 << 20);
-    driver::RunResult b = e2.runWorkload(w2, 32 << 20);
+    driver::RunResult a = e1.runWorkload(w1, {});
+    driver::RunResult b = e2.runWorkload(w2, {});
     EXPECT_TRUE(a.equals(b));
     b.cycles++;
     EXPECT_FALSE(a.equals(b));
@@ -170,7 +170,7 @@ TEST(Sweep, EngineSweepDeterministic)
                 driver::AccelSimEngine::Options eo;
                 eo.tiles = tiles;
                 driver::AccelSimEngine eng(std::move(eo));
-                return eng.runWorkload(w, 32 << 20);
+                return eng.runWorkload(w, {});
             });
             sweep.add([tiles] {
                 auto w = workloads::makeFib(8);
@@ -181,19 +181,19 @@ TEST(Sweep, EngineSweepDeterministic)
                     return w2.params;
                 }();
                 driver::AccelSimEngine eng(std::move(eo));
-                return eng.runWorkload(w, 32 << 20);
+                return eng.runWorkload(w, {});
             });
             sweep.add([tiles] {
                 auto w = workloads::makeStencil(8, 8, 1);
                 driver::AccelSimEngine::Options eo;
                 eo.tiles = tiles;
                 driver::AccelSimEngine eng(std::move(eo));
-                return eng.runWorkload(w, 32 << 20);
+                return eng.runWorkload(w, {});
             });
             sweep.add([] {
                 auto w = workloads::makeSaxpy(64);
                 driver::InterpEngine eng;
-                return eng.runWorkload(w, 32 << 20);
+                return eng.runWorkload(w, {});
             });
         }
         return sweep.run();
@@ -221,7 +221,7 @@ TEST(Sweep, ConcurrentSimsDoNotInterfere)
     auto runOne = [](unsigned n) {
         auto w = workloads::makeSaxpy(n);
         driver::AccelSimEngine eng;
-        return eng.runWorkload(w, 32 << 20);
+        return eng.runWorkload(w, {});
     };
     driver::RunResult ref_a = runOne(64);
     driver::RunResult ref_b = runOne(128);

@@ -123,8 +123,8 @@ TEST(DesignCache, HitRunsAreIdenticalToColdCompile)
         driver::compileDesign(text, w.top->name(), copts, dev);
     driver::AccelSimEngine eng;
     driver::RunResult warm_r =
-        eng.runWorkload(w, second.design, 32 << 20);
-    driver::RunResult cold_r = eng.runWorkload(w, cold, 32 << 20);
+        eng.runWorkload(w, second.design, {});
+    driver::RunResult cold_r = eng.runWorkload(w, cold, {});
     ASSERT_TRUE(warm_r.ok());
     EXPECT_TRUE(warm_r.verifyError.empty()) << warm_r.verifyError;
     EXPECT_TRUE(warm_r.equals(cold_r));
@@ -141,15 +141,15 @@ TEST(CompiledDesign, PreparedDesignReusesAcrossRuns)
     EXPECT_EQ(ir::toString(*w.module),
               ir::toString(*design.module));
 
-    driver::RunResult a = eng.runWorkload(w, design, 32 << 20);
-    driver::RunResult b = eng.runWorkload(w, design, 32 << 20);
+    driver::RunResult a = eng.runWorkload(w, design, {});
+    driver::RunResult b = eng.runWorkload(w, design, {});
     ASSERT_TRUE(a.ok());
     EXPECT_TRUE(a.verifyError.empty()) << a.verifyError;
     EXPECT_TRUE(a.equals(b));
 
     // And matches the one-shot compile-in-run() path.
     driver::AccelSimEngine fresh;
-    driver::RunResult c = fresh.runWorkload(w, 32 << 20);
+    driver::RunResult c = fresh.runWorkload(w, {});
     ASSERT_TRUE(c.ok());
     EXPECT_EQ(a.cycles, c.cycles);
     EXPECT_EQ(a.retval.i, c.retval.i);

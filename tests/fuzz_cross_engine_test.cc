@@ -163,7 +163,7 @@ TEST_P(CrossEngineFuzz, InterpAndAccelAgree)
     };
 
     // Reference run.
-    MemImage mem_ref(16 << 20);
+    MemImage mem_ref;
     auto args_ref = fill(mem_ref);
     Interp interp(*g.module, mem_ref);
     interp.run(*g.top, args_ref);
@@ -180,7 +180,7 @@ TEST_P(CrossEngineFuzz, InterpAndAccelAgree)
     p.mem.cacheBytes = 1024u << param_rng.below(5);
 
     auto design = hls::compile(*g.module, g.top, p);
-    MemImage mem_acc(16 << 20);
+    MemImage mem_acc;
     auto args_acc = fill(mem_acc);
     sim::AcceleratorSim accel(*design, mem_acc);
     accel.run(args_acc);
@@ -215,7 +215,7 @@ TEST_P(CrossEngineFuzz, OptimizationPreservesSemantics)
             RtValue::fromInt(static_cast<int64_t>(seed % 977))};
     };
 
-    MemImage mem_a(16 << 20);
+    MemImage mem_a;
     auto args_a = fill(mem_a);
     Interp interp_a(*g.module, mem_a);
     interp_a.run(*g.top, args_a);
@@ -224,7 +224,7 @@ TEST_P(CrossEngineFuzz, OptimizationPreservesSemantics)
     VerifyResult v = verifyModule(*g.module);
     ASSERT_TRUE(v.ok()) << "seed " << seed << ":\n" << v.str();
 
-    MemImage mem_b(16 << 20);
+    MemImage mem_b;
     auto args_b = fill(mem_b);
     Interp interp_b(*g.module, mem_b);
     interp_b.run(*g.top, args_b);
@@ -267,7 +267,7 @@ TEST_P(CrossEngineFuzz, PrintParseRoundTrip)
             RtValue::fromInt(static_cast<int64_t>(seed % 977))};
     };
 
-    MemImage mem_a(16 << 20);
+    MemImage mem_a;
     auto args_a = fill(*g.module, mem_a, g.input, g.output);
     Interp ia(*g.module, mem_a);
     ia.run(*g.top, args_a);
@@ -277,7 +277,7 @@ TEST_P(CrossEngineFuzz, PrintParseRoundTrip)
     const GlobalVar *pout_g = pm.globalByName("out");
     ir::Function *ptop = pm.functionByName("fuzz");
     ASSERT_TRUE(pin_g && pout_g && ptop);
-    MemImage mem_b(16 << 20);
+    MemImage mem_b;
     auto args_b = fill(pm, mem_b, pin_g, pout_g);
     Interp ib(pm, mem_b);
     ib.run(*ptop, args_b);

@@ -35,7 +35,7 @@ TEST(OptTest, FoldsConstantArithmetic)
     EXPECT_EQ(f->numInstructions(), 1u); // just the ret
     EXPECT_TRUE(verifyFunction(*f).ok());
 
-    MemImage mem(1 << 20);
+    MemImage mem;
     Interp interp(mod, mem);
     EXPECT_EQ(interp.run(*f, {}).i, 50);
 }
@@ -57,7 +57,7 @@ TEST(OptTest, FoldsCompareCastSelect)
     optimizeFunction(*f, mod);
     EXPECT_TRUE(verifyFunction(*f).ok());
 
-    MemImage mem(1 << 20);
+    MemImage mem;
     Interp interp(mod, mem);
     EXPECT_EQ(interp.run(*f, {RtValue::fromInt(10)}).i, 9);
     // select + icmp + sext folded away; add(x, -1) + ret remain.
@@ -117,7 +117,7 @@ TEST(OptTest, SimplifiesConstantBranchAndRemovesDeadBlock)
     // The phi lost its dead edge; single-entry phi still legal.
     EXPECT_EQ(phi->numIncoming(), 1u);
 
-    MemImage mem(1 << 20);
+    MemImage mem;
     Interp interp(mod, mem);
     EXPECT_EQ(interp.run(*f, {RtValue::fromInt(7)}).i, 8);
 }
@@ -176,7 +176,7 @@ TEST(OptTest, KeepsTapirStructure)
     EXPECT_TRUE(f->hasDetach());
     EXPECT_TRUE(verifyFunction(*f).ok());
 
-    MemImage mem(1 << 20);
+    MemImage mem;
     mem.layout(mod);
     Interp interp(mod, mem);
     interp.run(*f, {});
@@ -193,7 +193,7 @@ TEST(OptTest, WorkloadsUnchangedFunctionally)
         VerifyResult v = verifyModule(*w.module);
         ASSERT_TRUE(v.ok()) << w.name << ":\n" << v.str();
 
-        MemImage mem(64 << 20);
+        MemImage mem;
         auto args = w.setup(mem);
         Interp interp(*w.module, mem);
         RtValue ret = interp.run(*w.top, args);

@@ -42,7 +42,7 @@ buildSquareSum(Module &mod)
 int64_t
 runSqsum(Module &mod, Function *f, int64_t n)
 {
-    MemImage mem(1 << 20);
+    MemImage mem;
     Interp interp(mod, mem);
     return interp.run(*f, {RtValue::fromInt(n)}).i;
 }
@@ -122,7 +122,7 @@ TEST(UnrollTest, CrossCarrySwapPattern)
     // Reference values before transforming.
     std::vector<int64_t> want;
     {
-        MemImage mem(1 << 20);
+        MemImage mem;
         Interp interp(mod, mem);
         for (int64_t n = 0; n <= 10; ++n)
             want.push_back(
@@ -135,7 +135,7 @@ TEST(UnrollTest, CrossCarrySwapPattern)
     ASSERT_TRUE(verifyFunction(*f).ok())
         << verifyFunction(*f).str();
 
-    MemImage mem(1 << 20);
+    MemImage mem;
     Interp interp(mod, mem);
     for (int64_t n = 0; n <= 10; ++n) {
         EXPECT_EQ(interp.run(*f, {RtValue::fromInt(n)}).i,
@@ -156,7 +156,7 @@ TEST(UnrollTest, SkipsNonCanonicalLoops)
     }
 
     // Still computes the right answer.
-    MemImage mem(64 << 20);
+    MemImage mem;
     auto args = w.setup(mem);
     Interp interp(*w.module, mem);
     RtValue ret = interp.run(*w.top, args);
@@ -179,7 +179,7 @@ TEST(UnrollTest, WorkloadsStillVerifyOnAccelerator)
         ASSERT_TRUE(v.ok()) << w.name << ":\n" << v.str();
 
         auto design = hls::compile(*w.module, w.top, w.params);
-        MemImage mem(64 << 20);
+        MemImage mem;
         auto args = w.setup(mem);
         sim::AcceleratorSim accel(*design, mem);
         accel.run(args);

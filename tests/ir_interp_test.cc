@@ -30,7 +30,7 @@ class InterpTest : public ::testing::Test
 
     Module mod;
     IRBuilder b{mod};
-    MemImage mem{8 << 20};
+    MemImage mem;
     InterpStats last;
 };
 

@@ -11,7 +11,7 @@ using namespace tapas::ir;
 
 TEST(MemImageTest, AllocAlignment)
 {
-    MemImage mem(1 << 20);
+    MemImage mem;
     uint64_t a = mem.alloc(10, 8);
     uint64_t b = mem.alloc(1, 64);
     uint64_t c = mem.alloc(8, 8);
@@ -23,7 +23,7 @@ TEST(MemImageTest, AllocAlignment)
 
 TEST(MemImageTest, IntRoundTrip)
 {
-    MemImage mem(1 << 20);
+    MemImage mem;
     uint64_t p = mem.alloc(64);
     mem.storeInt(p, 4, -123456);
     EXPECT_EQ(mem.loadInt(p, 4), -123456);
@@ -37,7 +37,7 @@ TEST(MemImageTest, IntRoundTrip)
 
 TEST(MemImageTest, FloatRoundTrip)
 {
-    MemImage mem(1 << 20);
+    MemImage mem;
     uint64_t p = mem.alloc(64);
     mem.storeF64(p, 3.14159);
     EXPECT_DOUBLE_EQ(mem.loadF64(p), 3.14159);
@@ -47,7 +47,7 @@ TEST(MemImageTest, FloatRoundTrip)
 
 TEST(MemImageTest, TypedHelpers)
 {
-    MemImage mem(1 << 20);
+    MemImage mem;
     uint64_t p = mem.alloc(64);
     mem.put<int32_t>(p, 77);
     EXPECT_EQ(mem.get<int32_t>(p), 77);
@@ -57,7 +57,7 @@ TEST(MemImageTest, TypedHelpers)
 
 TEST(MemImageTest, LittleEndianLayout)
 {
-    MemImage mem(1 << 20);
+    MemImage mem;
     uint64_t p = mem.alloc(8);
     mem.storeInt(p, 4, 0x04030201);
     EXPECT_EQ(mem.loadInt(p, 1), 0x01);
@@ -70,7 +70,7 @@ TEST(MemImageTest, GlobalLayout)
     Module mod;
     GlobalVar *a = mod.addGlobal("A", 100);
     GlobalVar *b = mod.addGlobal("B", 200);
-    MemImage mem(1 << 20);
+    MemImage mem;
     mem.layout(mod);
     uint64_t pa = mem.addressOf(a);
     uint64_t pb = mem.addressOf(b);
@@ -84,27 +84,49 @@ TEST(MemImageTest, UnlaidGlobalDies)
 {
     Module mod;
     GlobalVar *a = mod.addGlobal("A", 100);
-    MemImage mem(1 << 20);
+    MemImage mem;
     EXPECT_DEATH(mem.addressOf(a), "no address");
 }
 
 TEST(MemImageTest, OutOfBoundsDies)
 {
-    MemImage mem(1 << 16);
+    MemImage mem;
     EXPECT_DEATH(mem.loadInt(0, 4), "out of bounds"); // null page
-    EXPECT_DEATH(mem.loadInt((1 << 16) - 2, 4), "out of bounds");
     EXPECT_DEATH(mem.storeInt(100, 8, 1), "out of bounds");
+}
+
+TEST(MemImageTest, AccessPastHighWaterMarkDies)
+{
+    // Far below the limit, but one byte past what was allocated.
+    MemImage mem;
+    uint64_t p = mem.alloc(100);
+    EXPECT_EQ(mem.bumpPtr(), p + 100);
+    mem.storeInt(p + 96, 4, 7);
+    EXPECT_DEATH(mem.loadInt(p + 100, 1), "out of bounds");
+    EXPECT_DEATH(mem.storeInt(p + 97, 4, 7), "out of bounds");
+}
+
+TEST(MemImageTest, GrownBytesReadAsZero)
+{
+    MemImage mem;
+    uint64_t a = mem.alloc(16);
+    mem.storeInt(a, 8, -1);
+    // Growing the store keeps old bytes and zero-fills the new ones.
+    uint64_t b = mem.alloc(1 << 20);
+    EXPECT_EQ(mem.loadInt(a, 8), -1);
+    EXPECT_EQ(mem.loadInt(b, 8), 0);
+    EXPECT_EQ(mem.loadInt(b + (1 << 20) - 8, 8), 0);
 }
 
 TEST(MemImageTest, ExhaustionDies)
 {
-    MemImage mem(1 << 16);
-    EXPECT_DEATH(mem.alloc(1 << 20), "exhausted");
+    MemImage mem;
+    EXPECT_DEATH(mem.alloc(MemImage::kLimit), "exhausted");
 }
 
 TEST(MemImageTest, BumpPointerSaveRestore)
 {
-    MemImage mem(1 << 20);
+    MemImage mem;
     uint64_t before = mem.bumpPtr();
     mem.alloc(1024);
     EXPECT_GT(mem.bumpPtr(), before);

@@ -217,7 +217,7 @@ runSaxpy(const driver::RunOptions &ro,
     driver::AccelSimEngine::Options eo;
     eo.fault = fault;
     driver::AccelSimEngine eng(std::move(eo));
-    return eng.runWorkload(w, 32 << 20, ro);
+    return eng.runWorkload(w, ro);
 }
 
 TEST(EngineLifecycle, CancelBeforeFirstCycle)
@@ -348,7 +348,7 @@ TEST(EngineLifecycle, InterruptThenReplayIsByteIdentical)
             driver::AccelSimEngine::Options eo;
             eo.fault = c.fault;
             driver::AccelSimEngine eng(std::move(eo));
-            return eng.runWorkload(w, 32 << 20, ro);
+            return eng.runWorkload(w, ro);
         };
 
         driver::RunResult ref = runOnce({});

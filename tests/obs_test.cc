@@ -212,7 +212,7 @@ simulate(workloads::Workload &w, obs::TraceSink *sink,
     arch::AcceleratorParams p = w.params;
     p.setAllTiles(tiles);
     auto design = hls::compile(*w.module, w.top, p);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     if (sink)
@@ -390,8 +390,9 @@ TEST(ObsEngineTest, RunOptionsProfileFlowsIntoResult)
 {
     auto w = workloads::makeFib(10);
     driver::AccelSimEngine engine;
-    engine.runOptions.profile = true;
-    driver::RunResult r = engine.runWorkload(w, 64 << 20);
+    driver::RunOptions ro;
+    ro.profile = true;
+    driver::RunResult r = engine.runWorkload(w, ro);
     ASSERT_TRUE(r.verifyError.empty()) << r.verifyError;
 
     EXPECT_FALSE(r.profileReport.empty());
@@ -421,8 +422,9 @@ TEST(ObsEngineTest, RunOptionsTraceFileIsWritten)
     const char *path = "obs_test_engine_trace.tmp.json";
     auto w = workloads::makeMatrixAdd(8);
     driver::AccelSimEngine engine;
-    engine.runOptions.traceFile = path;
-    driver::RunResult r = engine.runWorkload(w, 64 << 20);
+    driver::RunOptions ro;
+    ro.traceFile = path;
+    driver::RunResult r = engine.runWorkload(w, ro);
     ASSERT_TRUE(r.verifyError.empty()) << r.verifyError;
 
     std::ifstream in(path);
@@ -444,14 +446,15 @@ TEST(ObsEngineTest, ProfilingDoesNotPerturbTiming)
     // profiler and tracer attached match a bare run exactly.
     auto w1 = workloads::makeFib(10);
     driver::AccelSimEngine bare;
-    driver::RunResult r1 = bare.runWorkload(w1, 64 << 20);
+    driver::RunResult r1 = bare.runWorkload(w1, {});
 
     auto w2 = workloads::makeFib(10);
     driver::AccelSimEngine observed;
-    observed.runOptions.profile = true;
+    driver::RunOptions ro;
+    ro.profile = true;
     const char *path = "obs_test_perturb.tmp.json";
-    observed.runOptions.traceFile = path;
-    driver::RunResult r2 = observed.runWorkload(w2, 64 << 20);
+    ro.traceFile = path;
+    driver::RunResult r2 = observed.runWorkload(w2, ro);
     std::remove(path);
 
     EXPECT_EQ(r1.cycles, r2.cycles);

@@ -23,14 +23,13 @@ struct RunResult
 };
 
 RunResult
-runOnAccel(Workload &w, unsigned ntiles = 1,
-           uint64_t mem_bytes = 64 << 20)
+runOnAccel(Workload &w, unsigned ntiles = 1)
 {
     arch::AcceleratorParams p = w.params;
     p.setAllTiles(ntiles);
     auto design = hls::compile(*w.module, w.top, p);
 
-    ir::MemImage mem(mem_bytes);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     ir::RtValue ret = accel.run(args);
@@ -126,7 +125,7 @@ TEST(AccelSimTest, SpawnLatencyIsTensOfCycles)
     auto w = workloads::makeSpawnScale(128, 1);
     arch::AcceleratorParams p = w.params;
     auto design = hls::compile(*w.module, w.top, p);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);
@@ -147,7 +146,7 @@ TEST(AccelSimTest, QueueBackpressureDoesNotDeadlockLoops)
     arch::AcceleratorParams p = w.params;
     p.defaults.ntasks = 2;
     auto design = hls::compile(*w.module, w.top, p);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);
@@ -168,7 +167,7 @@ TEST(AccelSimTest, RecursionDeeperThanQueueDeadlocksWithDiagnostic)
     arch::AcceleratorParams p;
     p.defaults.ntasks = 4;
     auto design = hls::compile(*w.module, w.top, p);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.watchdogCycles = 20000;
@@ -190,7 +189,7 @@ TEST(AccelSimTest, RecursionDeeperThanQueueDeadlocksWithDiagnostic)
     // (deep-enough) queue preset is unaffected.
     arch::AcceleratorParams p2 = w.params;
     auto design2 = hls::compile(*w.module, w.top, p2);
-    ir::MemImage mem2(64 << 20);
+    ir::MemImage mem2;
     auto args2 = w.setup(mem2);
     sim::AcceleratorSim accel2(*design2, mem2);
     ir::RtValue ret = accel2.run(args2);
@@ -203,7 +202,7 @@ TEST(AccelSimTest, CacheStatsPopulated)
     auto w = workloads::makeSaxpy(256);
     arch::AcceleratorParams p = w.params;
     auto design = hls::compile(*w.module, w.top, p);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);
@@ -231,7 +230,7 @@ TEST(AccelSimTest, SmallerCacheIsSlower)
     arch::AcceleratorParams p_big = w_big.params;
     p_big.mem.cacheBytes = 64 * 1024;
     auto d_big = hls::compile(*w_big.module, w_big.top, p_big);
-    ir::MemImage m_big(64 << 20);
+    ir::MemImage m_big;
     auto a_big = w_big.setup(m_big);
     sim::AcceleratorSim s_big(*d_big, m_big);
     s_big.run(a_big);
@@ -241,7 +240,7 @@ TEST(AccelSimTest, SmallerCacheIsSlower)
     p_small.mem.cacheBytes = 512;
     auto d_small = hls::compile(*w_small.module, w_small.top,
                                 p_small);
-    ir::MemImage m_small(64 << 20);
+    ir::MemImage m_small;
     auto a_small = w_small.setup(m_small);
     sim::AcceleratorSim s_small(*d_small, m_small);
     s_small.run(a_small);

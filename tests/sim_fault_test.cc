@@ -29,7 +29,7 @@ runWith(workloads::Workload w, std::optional<sim::FaultConfig> fc,
     eo.fault = fc;
     eo.watchdogCycles = watchdog;
     driver::AccelSimEngine eng(std::move(eo));
-    return eng.runWorkload(w, 64 << 20);
+    return eng.runWorkload(w, {});
 }
 
 double
@@ -168,7 +168,7 @@ TEST(FaultEngine, DeadlockThreadsThroughRunResult)
     eo.params = p;
     eo.watchdogCycles = 20000;
     driver::AccelSimEngine eng(std::move(eo));
-    driver::RunResult r = eng.runWorkload(w, 64 << 20);
+    driver::RunResult r = eng.runWorkload(w, {});
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.failure->kind, "deadlock");
     EXPECT_NE(r.failure->detail.find("occupancy"),

@@ -38,8 +38,6 @@ using namespace tapas;
 
 namespace {
 
-constexpr uint64_t kMemBytes = 32ull << 20;
-
 struct Row
 {
     std::string workload;
@@ -185,7 +183,7 @@ fingerprint(workloads::Workload (*make)(), unsigned tiles, bool faults)
     driver::RunOptions ro;
     ro.profile = true;
     driver::RunResult r = driver::AccelSimEngine(std::move(counted))
-                              .runWorkload(w, kMemBytes, ro);
+                              .runWorkload(w, ro);
     row.outcome = r.ok() ? "ok" : r.failure->kind;
     row.cycles = r.cycles;
     row.stats = hashStats(r.stats);
@@ -201,7 +199,7 @@ fingerprint(workloads::Workload (*make)(), unsigned tiles, bool faults)
     driver::RunOptions explain;
     explain.explain = true;
     driver::RunResult o = driver::AccelSimEngine(std::move(eo))
-                              .runWorkload(wo, kMemBytes, explain);
+                              .runWorkload(wo, explain);
     EXPECT_EQ(o.cycles, r.cycles) << row.workload;
     EXPECT_TRUE(o.bottleneck.has_value()) << row.workload;
     row.explain = fnv1aHex(o.bottleneckReport +

@@ -29,8 +29,6 @@ using namespace tapas;
 
 namespace {
 
-constexpr uint64_t kMemBytes = 32ull << 20;
-
 /** Run `w` with profiling on (broadest stats surface). */
 driver::RunResult
 runWith(workloads::Workload &w, driver::AccelSimEngine::Options eo = {},
@@ -38,7 +36,7 @@ runWith(workloads::Workload &w, driver::AccelSimEngine::Options eo = {},
 {
     driver::AccelSimEngine eng(std::move(eo));
     ro.profile = true;
-    return eng.runWorkload(w, kMemBytes, ro);
+    return eng.runWorkload(w, ro);
 }
 
 /** saxpy over a tiny cache in front of slow, narrow DRAM. */

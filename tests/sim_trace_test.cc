@@ -24,7 +24,7 @@ traceRun(workloads::Workload &w, unsigned tiles = 2)
     arch::AcceleratorParams p = w.params;
     p.setAllTiles(tiles);
     auto design = hls::compile(*w.module, w.top, p);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     TaskTracer tracer;
@@ -166,7 +166,7 @@ TEST(TraceTest, NoTracerNoOverheadPathStillWorks)
     auto w1 = workloads::makeStencil(6, 6, 1);
     arch::AcceleratorParams p = w1.params;
     auto design = hls::compile(*w1.module, w1.top, p);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w1.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);

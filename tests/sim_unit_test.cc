@@ -72,7 +72,7 @@ TEST(SimUnitTest, TaskCallValuesRouteBack)
     arch::AcceleratorParams p;
     p.defaults.ntasks = 256;
     auto design = hls::compile(prog.mod, prog.top, p);
-    MemImage mem(64 << 20);
+    MemImage mem;
     mem.layout(prog.mod);
     sim::AcceleratorSim accel(*design, mem);
     RtValue r = accel.run({RtValue::fromInt(30)});
@@ -88,7 +88,7 @@ TEST(SimUnitTest, SpawnPortAcceptsOnePerCycle)
     p.setAllTiles(8);
     p.defaults.ntasks = 512;
     auto design = hls::compile(*w.module, w.top, p);
-    MemImage mem(64 << 20);
+    MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);
@@ -106,7 +106,7 @@ TEST(SimUnitTest, TilesShareLoadEvenly)
     arch::AcceleratorParams p = w.params;
     p.setAllTiles(2);
     auto design = hls::compile(*w.module, w.top, p);
-    MemImage mem(64 << 20);
+    MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);
@@ -150,7 +150,7 @@ TEST(SimUnitTest, ArgsRamTransferDelaysDispatch)
         design->taskGraph->root()->children()[0]->sid();
     EXPECT_GE(design->taskGraph->task(body_sid)->args().size(), 8u);
 
-    MemImage mem(16 << 20);
+    MemImage mem;
     mem.layout(mod);
     sim::AcceleratorSim accel(*design, mem);
     std::vector<RtValue> args;
@@ -176,7 +176,7 @@ TEST(SimUnitTest, ConditionalStageSkipCounts)
     // paper's conditional-pipeline-stage claim).
     auto w = workloads::makeDedup(30, 32);
     auto design = hls::compile(*w.module, w.top, w.params);
-    MemImage mem(64 << 20);
+    MemImage mem;
     auto args = w.setup(mem);
     sim::AcceleratorSim accel(*design, mem);
     accel.run(args);

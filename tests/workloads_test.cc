@@ -22,7 +22,7 @@ runOnInterp(Workload w)
     ir::VerifyResult v = ir::verifyModule(*w.module);
     ASSERT_TRUE(v.ok()) << v.str() << "\n" << ir::toString(*w.module);
 
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     ir::Interp interp(*w.module, mem);
     ir::RtValue ret = interp.run(*w.top, args);
@@ -112,7 +112,7 @@ TEST(WorkloadInterpTest, PaperSuiteBuilds)
 TEST(WorkloadInterpTest, SpawnCounts)
 {
     Workload w = workloads::makeMatrixAdd(8);
-    ir::MemImage mem(64 << 20);
+    ir::MemImage mem;
     auto args = w.setup(mem);
     ir::Interp interp(*w.module, mem);
     interp.run(*w.top, args);

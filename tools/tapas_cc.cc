@@ -635,18 +635,17 @@ main(int argc, char **argv)
             driver::resolveJobs(cli_jobs));
         if (do_interp) {
             sweep.add([&] {
-                ir::MemImage mem(256ull << 20);
+                ir::MemImage mem;
                 auto args = setupMem(mem);
                 driver::InterpEngine eng;
-                return eng.run(*mod, *top, args, mem);
+                return eng.run(*mod, *top, args, mem, {});
             });
         }
         if (do_run) {
             sweep.add([&] {
-                ir::MemImage mem(256ull << 20);
+                ir::MemImage mem;
                 auto args = setupMem(mem);
                 driver::AccelSimEngine::Options eo;
-                eo.design = cd;
                 if (!trace_csv_path.empty())
                     eo.tracer = &tracer;
                 if (fault_cfg)
@@ -666,7 +665,7 @@ main(int argc, char **argv)
                                               buildSnapshot(cyc));
                     };
                 }
-                return eng.run(*mod, *top, args, mem, ro);
+                return eng.run(cd, args, mem, ro);
             });
         }
         std::vector<driver::RunResult> results = sweep.run();
